@@ -170,11 +170,16 @@ def test_bench_preemption_storm():
 
 
 def test_bench_preemption_results_identical():
-    """The storm changes scheduling only: results match eager exactly."""
+    """The storm changes scheduling only: every sliced query returns
+    the answer the graph's construction dictates (computed here, not
+    by the engine, so it is an independent reference)."""
     engine = CypherEngine(build_graph())
     clock = VirtualClock()
-    for _kind, query in storm_queries()[:12]:
-        eager_rows = engine.run(query, strict=False)
+    for kind, query in storm_queries()[:12]:
+        if kind == "long":
+            expected = [{"pairs": MALWARE_COUNT**2}]
+        else:
+            expected = [{"m.name": query.split('"')[1]}]
         task = engine.task(
             query,
             context=ExecutionContext(
@@ -183,6 +188,4 @@ def test_bench_preemption_results_identical():
             strict=False,
         )
         sliced_rows = task.run_to_completion()
-        assert [r.values for r in sliced_rows] == [
-            r.values for r in eager_rows
-        ]
+        assert [r.values for r in sliced_rows] == expected

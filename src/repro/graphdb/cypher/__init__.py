@@ -1,8 +1,8 @@
 """Cypher-subset query engine (lexer, parser, planner, executor).
 
-Two execution strategies behind one engine: the eager tree-walking
-evaluator (`run`) and the preemptable physical-operator path
-(`run_paginated` / `task`) built from `planner` + `iterators`.
+One execution engine: every MATCH query is lowered by `planner` into a
+tree of resumable `iterators` and run as a `QueryTask` -- to completion
+for `run`, slice by slice for `run_paginated` / `task`.
 """
 
 from repro.graphdb.cypher.executor import (

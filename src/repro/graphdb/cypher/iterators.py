@@ -1,4 +1,9 @@
-"""Resumable physical operators for preemptable Cypher execution.
+"""Resumable physical operators: the Cypher execution engine.
+
+Every MATCH query runs on these operators, whether it is paged,
+sliced under a quantum or run to completion in one call; the
+expression evaluator they share with the scatter-gather merge lives
+here too.
 
 The web-preemption model (SaGe): a query runs as a tree of pull-based
 iterators, each of which can be suspended at any safe point and
@@ -31,23 +36,234 @@ import bisect
 from dataclasses import dataclass, field
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import (
-    Bindings,
-    CypherRuntimeError,
-    ResultRow,
-    _hashable,
-    _sort_key,
-    _truthy,
-    bind_node,
-    bind_rel,
-    eval_expr,
-    eval_projected,
-    reduce_collect,
-    reduce_count,
-    reduce_numeric,
-)
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.runtime.clock import Clock, REAL_CLOCK
+
+
+class CypherRuntimeError(ValueError):
+    """Semantic error discovered during execution."""
+
+
+Bindings = dict[str, object]
+
+
+# -- expression evaluator ------------------------------------------------------
+#
+# Module-level so the operators below and the scatter-gather merge
+# evaluate expressions identically.
+
+
+def eval_expr(expr: ast.Expr, bindings: Bindings) -> object:
+    # most frequent forms first: this runs per row per WHERE conjunct
+    if isinstance(expr, ast.Property):
+        value = bindings.get(expr.variable)
+        if value is None:
+            raise CypherRuntimeError(f"unbound variable {expr.variable!r}")
+        if isinstance(value, (Node, Edge)):
+            return value.properties.get(expr.key)
+        raise CypherRuntimeError(
+            f"{expr.variable!r} is not a node or relationship"
+        )
+    if isinstance(expr, ast.Compare):
+        return eval_compare(expr, bindings)
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.Variable):
+        if expr.name not in bindings:
+            raise CypherRuntimeError(f"unbound variable {expr.name!r}")
+        return bindings[expr.name]
+    if isinstance(expr, ast.ListLiteral):
+        return [eval_expr(item, bindings) for item in expr.items]
+    if isinstance(expr, ast.And):
+        return bool(eval_expr(expr.left, bindings)) and bool(
+            eval_expr(expr.right, bindings)
+        )
+    if isinstance(expr, ast.Or):
+        return bool(eval_expr(expr.left, bindings)) or bool(
+            eval_expr(expr.right, bindings)
+        )
+    if isinstance(expr, ast.Not):
+        return not eval_expr(expr.operand, bindings)
+    if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
+        raise CypherRuntimeError("aggregates are only allowed in RETURN")
+    raise CypherRuntimeError(f"cannot evaluate {expr!r}")
+
+
+def eval_compare(expr: ast.Compare, bindings: Bindings) -> bool:
+    left = eval_expr(expr.left, bindings)
+    if expr.op == "IS NULL":
+        return left is None
+    if expr.op == "IS NOT NULL":
+        return left is not None
+    right = eval_expr(expr.right, bindings)
+    if expr.op == "=":
+        return left == right
+    if expr.op == "<>":
+        return left != right
+    if expr.op == "IN":
+        return left in (right or [])
+    if left is None or right is None:
+        return False
+    if expr.op == "CONTAINS":
+        return str(right) in str(left)
+    if expr.op == "STARTS WITH":
+        return str(left).startswith(str(right))
+    if expr.op == "ENDS WITH":
+        return str(left).endswith(str(right))
+    try:
+        if expr.op == "<":
+            return left < right
+        if expr.op == ">":
+            return left > right
+        if expr.op == "<=":
+            return left <= right
+        if expr.op == ">=":
+            return left >= right
+    except TypeError as error:
+        raise CypherRuntimeError(str(error)) from None
+    raise CypherRuntimeError(f"unknown operator {expr.op!r}")
+
+
+def order_keys(query: ast.MatchQuery) -> list[tuple[ast.Expr, bool]]:
+    """ORDER BY items, each expression that repeats a RETURN item's
+    expression replaced by that item's alias.
+
+    ``ORDER BY count(t)`` beside ``RETURN count(t) AS c`` must sort on
+    the projected ``c``: an aggregate cannot be re-evaluated against a
+    row.  The planner and the scatter-gather sort both read ORDER BY
+    through here, so they resolve it the same way.
+    """
+    keys: list[tuple[ast.Expr, bool]] = []
+    for expr, ascending in query.order_by:
+        for item in query.returns:
+            if item.expr == expr:
+                expr = ast.Variable(item.alias)
+                break
+        keys.append((expr, ascending))
+    return keys
+
+
+def eval_projected(expr: ast.Expr, row: dict[str, object]) -> object:
+    """Evaluate an ORDER BY expression against a projected row.
+
+    ORDER BY may reference return aliases (see :func:`order_keys`) or
+    properties of projected nodes and relationships.
+    """
+    if isinstance(expr, ast.Variable) and expr.name in row:
+        return row[expr.name]
+    if isinstance(expr, ast.Property):
+        base = row.get(expr.variable)
+        if isinstance(base, (Node, Edge)):
+            return base.properties.get(expr.key)
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    raise CypherRuntimeError(
+        "ORDER BY expressions must reference returned values"
+    )
+
+
+def bind_node(pattern: ast.NodePattern, node: Node, bindings: Bindings) -> bool:
+    """Check a node against a pattern, binding its variable on success."""
+    if pattern.label and node.label != pattern.label:
+        return False
+    for key, value in pattern.properties:
+        if node.properties.get(key) != value:
+            return False
+    if pattern.variable:
+        existing = bindings.get(pattern.variable)
+        if existing is not None:
+            return isinstance(existing, Node) and existing.node_id == node.node_id
+        bindings[pattern.variable] = node
+    return True
+
+
+def bind_rel(pattern: ast.RelPattern, edge: Edge, bindings: Bindings) -> bool:
+    if pattern.rel_type and edge.type != pattern.rel_type:
+        return False
+    if pattern.variable:
+        existing = bindings.get(pattern.variable)
+        if existing is not None:
+            return isinstance(existing, Edge) and existing.edge_id == edge.edge_id
+        bindings[pattern.variable] = edge
+    return True
+
+
+def reduce_collect(values: list[object], distinct: bool) -> list[object]:
+    """collect() over already-evaluated values: None-skipping, optional
+    dedup.  Shared by :class:`AggregateOp` and the scatter-gather merge
+    so both agree on aggregate semantics."""
+    out: list[object] = []
+    seen: list[object] = []
+    for value in values:
+        if value is None:
+            continue
+        if distinct:
+            key = _hashable(value)
+            if key in seen:
+                continue
+            seen.append(key)
+        out.append(value)
+    return out
+
+
+def reduce_count(values: list[object], distinct: bool) -> int:
+    return len(reduce_collect(values, distinct))
+
+
+def reduce_numeric(func: str, values: list[object], distinct: bool) -> object:
+    """avg/min/max/sum over already-evaluated values.
+
+    ``sum([])`` is 0; the others are null on empty input.  Non-numeric
+    operands surface as :class:`CypherRuntimeError`.
+    """
+    vals = reduce_collect(values, distinct)
+    try:
+        if func == "sum":
+            return sum(vals)
+        if not vals:
+            return None
+        if func == "min":
+            return min(vals)
+        if func == "max":
+            return max(vals)
+        if func == "avg":
+            return sum(vals) / len(vals)
+    except TypeError as error:
+        raise CypherRuntimeError(str(error)) from None
+    raise CypherRuntimeError(f"unknown aggregate function {func!r}")
+
+
+def _contains_count(expr: ast.Expr) -> bool:
+    """Whether an expression contains an aggregate."""
+    if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
+        return True
+    if isinstance(expr, (ast.And, ast.Or)):
+        return _contains_count(expr.left) or _contains_count(expr.right)
+    if isinstance(expr, ast.Not):
+        return _contains_count(expr.operand)
+    if isinstance(expr, ast.Compare):
+        return _contains_count(expr.left) or (
+            expr.right is not None and _contains_count(expr.right)
+        )
+    return False
+
+
+def _hashable(value: object) -> object:
+    if isinstance(value, Node):
+        return ("__node__", value.node_id)
+    if isinstance(value, Edge):
+        return ("__edge__", value.edge_id)
+    if isinstance(value, list):
+        return tuple(_hashable(v) for v in value)
+    return value
+
+
+def _sort_key(value: object):
+    # None sorts first and numbers numerically (a count of 12 after
+    # one of 9); other types sort by type name, then value string.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return (True, "", value)
+    return (value is not None, type(value).__name__, str(value))
 
 
 class QuantumExhausted(Exception):
@@ -190,8 +406,8 @@ class ScanOp(PreemptableIterator):
     for scans.  Ids are consumed in ascending order and the
     continuation records the last id consumed, so a resume filters
     ``> last`` and is robust to inserts between slices.  When the
-    pattern variable is already bound upstream the scan degrades to a
-    consistency check.
+    pattern variable is already bound upstream the only candidate is
+    the bound node, so the scan degrades to a consistency check.
     """
 
     def __init__(
@@ -214,7 +430,10 @@ class ScanOp(PreemptableIterator):
         self._ids: list[int] | None = None
         self._pos = 0
 
-    def _candidate_ids(self) -> list[int]:
+    def _candidate_ids(self, bindings: Bindings) -> list[int]:
+        bound = bindings.get(self.variable)
+        if isinstance(bound, Node):  # joined from an earlier path
+            return [bound.node_id]
         kind = self.source[0]
         if kind == "index":
             _, label, key, value = self.source
@@ -234,18 +453,8 @@ class ScanOp(PreemptableIterator):
                 self._ids = None
                 self._pos = 0
             bindings = self._input
-            bound = bindings.get(self.variable)
-            if isinstance(bound, Node):
-                # variable joined from an earlier path: check, emit once
-                self.context.tick()
-                self._input = None
-                out = dict(bindings)
-                if bind_node(self.pattern, bound, out):
-                    out[self.variable] = bound
-                    return out
-                continue
             if self._ids is None:
-                self._ids = self._candidate_ids()
+                self._ids = self._candidate_ids(bindings)
                 self._pos = (
                     0
                     if self._after is None
@@ -256,9 +465,9 @@ class ScanOp(PreemptableIterator):
                 node_id = self._ids[self._pos]
                 self._pos += 1
                 self._after = node_id
-                if not self.graph.has_node(node_id):
+                node = self.graph.get_node(node_id)
+                if node is None:  # deleted since the id list was taken
                     continue
-                node = self.graph.node(node_id)
                 out = dict(bindings)
                 if bind_node(self.pattern, node, out):
                     out[self.variable] = node
@@ -476,7 +685,12 @@ class FilterOp(PreemptableIterator):
             bindings = self.child.next()
             if bindings is None:
                 return None
-            if all(_truthy(eval_expr(e, bindings)) for e in self.exprs):
+            # a plain loop, not all(<genexpr>): this runs once per
+            # candidate row and the generator's setup dominates
+            for expr in self.exprs:
+                if not eval_expr(expr, bindings):
+                    break
+            else:
                 return bindings
 
     def save(self) -> dict:
@@ -490,9 +704,10 @@ class ProjectOp(PreemptableIterator):
     """Non-aggregate RETURN projection, bindings -> row dict.
 
     ORDER BY expressions are evaluated here -- against the projected
-    row first, falling back to the source bindings (eager semantics) --
-    into hidden ``#oN`` keys that :class:`OrderByOp` sorts on and
-    strips.
+    row first, falling back to the source bindings, since ORDER BY may
+    name a value the RETURN drops (``m.year`` when only ``m.name`` is
+    returned) -- into hidden ``#oN`` keys that :class:`OrderByOp`
+    sorts on and strips.
     """
 
     def __init__(
@@ -514,7 +729,7 @@ class ProjectOp(PreemptableIterator):
         }
         for index, expr in enumerate(self.order_exprs):
             try:
-                value = eval_projected(expr, ResultRow(row))
+                value = eval_projected(expr, row)
             except CypherRuntimeError:
                 value = eval_expr(expr, bindings)
             row[f"#o{index}"] = value
@@ -532,8 +747,8 @@ class AggregateOp(PreemptableIterator):
 
     Consume phase drains the child, accumulating per group the
     representative values of the group expressions and the raw operand
-    values of each aggregate (so the shared ``reduce_*`` helpers give
-    results value-identical to the eager path).  A quantum expiring
+    values of each aggregate, so the ``reduce_*`` helpers the
+    scatter-gather merge also uses can finish them.  A quantum expiring
     mid-consume propagates from the child with the accumulators intact.
     Emit phase walks groups in first-seen order.
     """
@@ -588,7 +803,7 @@ class AggregateOp(PreemptableIterator):
                     expr.func, values, expr.distinct
                 )
         for index, expr in enumerate(self.order_exprs):
-            row[f"#o{index}"] = eval_projected(expr, ResultRow(row))
+            row[f"#o{index}"] = eval_projected(expr, row)
         return row
 
     def next(self) -> dict | None:
@@ -649,8 +864,10 @@ class AggregateOp(PreemptableIterator):
 class OrderByOp(PreemptableIterator):
     """Blocking sort on the hidden ``#oN`` keys, stripped on emit.
 
-    Sorting runs as the same sequence of reversed stable passes as the
-    eager executor, so ties break identically.
+    Sorting runs as one stable pass per key, last key first: sort keys
+    of mixed types cannot be negated for DESC, and stable passes keep
+    ties in arrival order -- the same passes the scatter-gather sort
+    makes.
     """
 
     def __init__(self, graph: PropertyGraph, child: PreemptableIterator,
@@ -848,6 +1065,7 @@ class ProfiledOp(PreemptableIterator):
 
 __all__ = [
     "AggregateOp",
+    "CypherRuntimeError",
     "DistinctOp",
     "ExecutionContext",
     "ExpandOp",
@@ -862,8 +1080,17 @@ __all__ = [
     "ScanOp",
     "SingletonOp",
     "SkipOp",
+    "bind_node",
+    "bind_rel",
     "decode_bindings",
     "decode_value",
     "encode_bindings",
     "encode_value",
+    "eval_compare",
+    "eval_expr",
+    "eval_projected",
+    "order_keys",
+    "reduce_collect",
+    "reduce_count",
+    "reduce_numeric",
 ]

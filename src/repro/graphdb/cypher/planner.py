@@ -30,9 +30,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import CypherRuntimeError, _contains_count
 from repro.graphdb.cypher.iterators import (
     AggregateOp,
+    CypherRuntimeError,
     DistinctOp,
     ExecutionContext,
     ExpandOp,
@@ -46,6 +46,8 @@ from repro.graphdb.cypher.iterators import (
     ScanOp,
     SingletonOp,
     SkipOp,
+    _contains_count,
+    order_keys,
 )
 from repro.graphdb.store import INDEXED_PROPERTIES, PropertyGraph
 
@@ -493,15 +495,16 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
         for index in range(anchor, 0, -1):
             expand_step(index, index - 1, path.rels[index - 1])
 
-    # any conjunct left references unbound variables; evaluating it at
-    # the top surfaces the same "unbound variable" error as eager mode
+    # any conjunct left references a variable no pattern binds;
+    # evaluating it at the top raises the evaluator's "unbound
+    # variable" error rather than silently dropping the predicate
     residual = [c for index, (_needs, c) in enumerate(conjuncts)
                 if not placed[index]]
     if residual:
         detail = " AND ".join(render_expr(c) for c in residual)
         chain.append(PlanNode("Filter", detail, {"exprs": residual}))
 
-    order_exprs = [expr for expr, _asc in query.order_by]
+    order_exprs = [expr for expr, _asc in order_keys(query)]
     has_aggregate = any(
         _contains_count(item.expr) for item in query.returns
     )

@@ -158,6 +158,10 @@ class PropertyGraph:
             raise KeyError(f"no node {node_id}")
         return node
 
+    def get_node(self, node_id: int) -> Node | None:
+        """Fetch a node by id, or ``None`` when absent."""
+        return self._nodes.get(node_id)
+
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
 

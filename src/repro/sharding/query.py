@@ -45,12 +45,18 @@ from repro.graphdb.cypher.executor import (
     CypherAnalysisError,
     CypherEngine,
     CypherPage,
-    CypherRuntimeError,
     QueryProfile,
     QueryTask,
     ResultRow,
+    is_streamable,
+)
+from repro.graphdb.cypher.iterators import (
+    CypherRuntimeError,
+    ExecutionContext,
     _contains_count,
     _sort_key,
+    eval_projected,
+    order_keys,
     reduce_numeric,
 )
 from repro.graphdb.cypher.parser import parse
@@ -183,6 +189,12 @@ class ShardedCypherEngine:
             self._schema_cache = (key, schema)
         return CypherAnalyzer(self._schema_cache[1]).analyze(query, source)
 
+    def _parse(self, query: str, strict: bool | None) -> ast.Query:
+        parsed = parse(query)
+        if self.strict if strict is None else strict:
+            self._check(parsed, query)
+        return parsed
+
     def _check(self, parsed: ast.Query, source: str) -> None:
         from repro.analysis.diagnostics import errors
 
@@ -193,12 +205,14 @@ class ShardedCypherEngine:
     # -- execution -----------------------------------------------------
 
     def run(self, query: str, strict: bool | None = None) -> list[ResultRow]:
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
+        return self.execute(self._parse(query, strict))
+
+    def execute(self, parsed: ast.Query) -> list[ResultRow]:
+        """Execute an already-parsed (and already-analyzed) query: the
+        one dispatch over query forms, as :meth:`CypherEngine.execute`."""
+        if len(self._engines) == 1:
+            return self._engines[0].execute(parsed)
         if isinstance(parsed, ast.CreateQuery):
-            if len(self._engines) == 1:
-                return self._engines[0].execute(parsed)
             return self._engines[self._create_target(parsed)].execute(parsed)
         if parsed.explain:
             # plan shapes agree across partitions (estimates may not);
@@ -206,8 +220,6 @@ class ShardedCypherEngine:
             return self._engines[0].explain_rows(parsed)
         if parsed.profile:
             return self._profile_parsed(parsed).rows
-        if len(self._engines) == 1:
-            return self._engines[0].execute(parsed)
         return self._scatter_match(parsed)
 
     def profile(
@@ -225,9 +237,7 @@ class ShardedCypherEngine:
         a synthetic ``Gather`` root whose self time is the merge /
         sort / dedup work done here.
         """
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
+        parsed = self._parse(query, strict)
         if not isinstance(parsed, ast.MatchQuery):
             raise CypherRuntimeError("PROFILE applies to MATCH queries only")
         return self._profile_parsed(parsed, step_cost=step_cost)
@@ -277,24 +287,14 @@ class ShardedCypherEngine:
         :class:`QueryTask` whose save/load continuation rides inside
         this engine's continuation, so no partition scans past the
         requested page.  Blocking queries gather once per page and
-        resume by offset.
+        resume by offset.  CREATE, EXPLAIN and PROFILE answer in one
+        full page with no continuation.
         """
         if page_size < 1:
             raise CypherRuntimeError("page_size must be >= 1")
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
-        if isinstance(parsed, ast.CreateQuery):
-            if len(self._engines) == 1:
-                self._engines[0].execute(parsed)
-            else:
-                self._engines[self._create_target(parsed)].execute(parsed)
-            return CypherPage(rows=[])
-        if parsed.explain:
-            return CypherPage(rows=self._engines[0].explain_rows(parsed))
-        if parsed.profile:
-            # like EXPLAIN: one full response, no continuation
-            return CypherPage(rows=self._profile_parsed(parsed).rows)
+        parsed = self._parse(query, strict)
+        if not is_streamable(parsed):
+            return CypherPage(rows=self.execute(parsed))
         if len(self._engines) == 1:
             return self._engines[0].run_paginated(
                 query, page_size, continuation=continuation, strict=False
@@ -328,8 +328,6 @@ class ShardedCypherEngine:
     def _paginate_streaming(
         self, parsed: ast.MatchQuery, page_size: int, continuation: dict | None
     ) -> CypherPage:
-        from repro.graphdb.cypher.iterators import ExecutionContext
-
         state = continuation or {
             "mode": "scan", "part": 0, "cont": None, "skipped": 0, "emitted": 0,
         }
@@ -399,9 +397,10 @@ class ShardedCypherEngine:
         """Scatter ``query`` and gather with canonical ordering.
 
         ``execute(index, engine, local)`` runs the localized query on
-        one partition; the default is plain eager execution, and the
-        PROFILE path injects an instrumented executor that also
-        collects per-partition operator counters.
+        one partition; the default is the partition engine's
+        :meth:`~CypherEngine.execute`, and the PROFILE path injects an
+        instrumented executor that also collects per-partition operator
+        counters.
         """
         if execute is None:
             def execute(_index, engine, local):
@@ -448,15 +447,13 @@ class ShardedCypherEngine:
             ]
             rows = [row for partial in per_partition for row in partial]
 
-        for expr, ascending in reversed(query.order_by):
+        for expr, ascending in reversed(order_keys(query)):
             # gather-side ordering resolves against projected values
-            # only (per-partition bindings are gone); _eval_projected
+            # only (per-partition bindings are gone); eval_projected
             # raises the canonical "must reference returned values"
             # error otherwise
             rows.sort(
-                key=lambda row: _sort_key(
-                    self._engines[0]._eval_projected(expr, row)
-                ),
+                key=lambda row: _sort_key(eval_projected(expr, row.values)),
                 reverse=not ascending,
             )
         if query.distinct:

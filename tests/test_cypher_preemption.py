@@ -3,8 +3,9 @@
 The core contract under test: a physical plan run slice-by-slice --
 suspended at arbitrary safe points and resumed from its JSON-safe
 continuation -- produces byte-identical rows to the same plan run in
-one uninterrupted pull, which in turn matches the eager tree-walking
-evaluator.
+one uninterrupted pull, which in turn matches the deliberately naive
+nested-loop oracle in ``cypher_oracle`` (no anchoring, index use, join
+reordering or filter pushdown), at one partition and at two.
 """
 
 import json
@@ -13,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cypher_oracle import naive_run
 from repro.graphdb import CypherEngine, CypherRuntimeError, PropertyGraph
 from repro.graphdb.cypher.iterators import ExecutionContext
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.cypher.planner import build_plan
+from repro.sharding import ShardedCypherEngine
 
 
-def build_graph() -> PropertyGraph:
-    graph = PropertyGraph()
+def build_graph(id_base: int = 0, malware: int = 18) -> PropertyGraph:
+    graph = PropertyGraph(id_base=id_base)
     actors = []
     for i in range(4):
         actors.append(
@@ -31,7 +34,7 @@ def build_graph() -> PropertyGraph:
         techniques.append(
             graph.create_node("Technique", {"name": f"tech-{i}"})
         )
-    for i in range(18):
+    for i in range(malware):
         node = graph.create_node(
             "Malware", {"name": f"mal-{i:02d}", "year": 2000 + (i % 7)}
         )
@@ -58,6 +61,20 @@ def graph():
 @pytest.fixture(scope="module")
 def engine(graph):
     return CypherEngine(graph)
+
+
+@pytest.fixture(scope="module")
+def partitions():
+    """Two partitions with disjoint ids and different contents."""
+    return [build_graph(), build_graph(id_base=1_000_000, malware=11)]
+
+
+@pytest.fixture(params=[1, 2], ids=["N=1", "N=2"])
+def deployment(request, engine, partitions):
+    """The engine at one partition and at two."""
+    if request.param == 1:
+        return engine
+    return ShardedCypherEngine([CypherEngine(g) for g in partitions])
 
 
 # Query shapes covering every physical operator: scans (all/label/
@@ -88,21 +105,55 @@ QUERIES = [
     "RETURN m.name, a.name ORDER BY m.name, a.name LIMIT 7",
 ]
 
+# ORDER BY an aggregate that RETURN projects under an alias: the sort
+# must use the projected value.  (query, alias, ascending)
+ORDER_BY_AGGREGATE = [
+    (
+        "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
+        "RETURN a.name, count(m) AS c ORDER BY count(m), a.name",
+        "c",
+        True,
+    ),
+    (
+        "MATCH (x)-[:USES]->(t:Technique) "
+        "RETURN t.name, count(*) AS n ORDER BY count(*), t.name",
+        "n",
+        True,
+    ),
+    (
+        "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
+        "RETURN a.name, max(m.year) AS latest "
+        "ORDER BY max(m.year) DESC, a.name",
+        "latest",
+        False,
+    ),
+]
+
+ORACLE_QUERIES = QUERIES + [query for query, _a, _asc in ORDER_BY_AGGREGATE]
+
+# The scatter-gather sort sees projected rows only, so across
+# partitions ORDER BY must name a returned value (m.year is not).
+GATHER_CANNOT_ORDER = {
+    "MATCH (m:Malware) RETURN m.name ORDER BY m.year DESC, m.name "
+    "SKIP 3 LIMIT 5",
+}
+
 
 def values(rows):
     return [row.values for row in rows]
 
 
 def fingerprint(rows, query):
-    """Canonical result fingerprint for eager-vs-preemptable parity.
+    """Canonical result fingerprint for engine-vs-oracle parity.
 
-    With ORDER BY the row sequence is fully determined by the query, so
-    the fingerprint is the exact list.  Without it Cypher leaves row
-    order unspecified and the cost-based planner may legitimately
-    enumerate a join in a different (but set-equal) order than the
-    eager evaluator, so the fingerprint is order-insensitive.
+    ``rows`` are ``alias -> value`` dicts.  With ORDER BY the row
+    sequence is fully determined by the query, so the fingerprint is
+    the exact list.  Without it Cypher leaves row order unspecified and
+    the cost-based planner may legitimately enumerate a join in a
+    different (but set-equal) order than the oracle's nested loops, so
+    the fingerprint is order-insensitive.
     """
-    printable = [repr(sorted(row.values.items())) for row in rows]
+    printable = [repr(sorted(row.items())) for row in rows]
     if "ORDER BY" in query.upper():
         return printable
     return sorted(printable)
@@ -139,11 +190,26 @@ class TestSliceParity:
         sliced = run_sliced(engine, query, steps_per_slice=1)
         assert values(sliced) == values(unsliced)
 
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_preemptable_matches_eager(self, engine, query):
-        eager = engine.run(query)
+    @pytest.mark.parametrize("query", ORACLE_QUERIES)
+    def test_preemptable_matches_eager(self, graph, engine, query):
+        """The operator tree agrees with the naive (eager, nested-loop)
+        oracle, so join reordering, filter pushdown and index-scan
+        choice are checked against code that shares none of them."""
         preemptable = engine.task(query).run_to_completion()
-        assert fingerprint(preemptable, query) == fingerprint(eager, query)
+        assert fingerprint(values(preemptable), query) == fingerprint(
+            naive_run([graph], query), query
+        )
+
+    @pytest.mark.parametrize("query", ORACLE_QUERIES)
+    def test_sharded_matches_naive_oracle(self, partitions, query):
+        engine = ShardedCypherEngine([CypherEngine(g) for g in partitions])
+        if query in GATHER_CANNOT_ORDER:
+            with pytest.raises(CypherRuntimeError, match="returned values"):
+                engine.run(query)
+            return
+        assert fingerprint(values(engine.run(query)), query) == fingerprint(
+            naive_run(partitions, query), query
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -153,20 +219,21 @@ class TestSliceParity:
     def test_any_slice_size_is_byte_identical(self, query, steps):
         # Fresh engine per example: hypothesis shrinks across examples
         # and module-scoped state must not leak between them.
-        engine = CypherEngine(build_graph())
+        graph = build_graph()
+        engine = CypherEngine(graph)
         unsliced = engine.task(query).run_to_completion()
         sliced = run_sliced(engine, query, steps_per_slice=steps)
         assert values(sliced) == values(unsliced)
-        assert fingerprint(sliced, query) == fingerprint(
-            engine.run(query), query
+        assert fingerprint(values(sliced), query) == fingerprint(
+            naive_run([graph], query), query
         )
 
-    def test_pagination_matches_eager_at_many_page_sizes(self, engine):
+    def test_pagination_matches_eager_at_many_page_sizes(self, graph, engine):
         query = (
             "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
             "RETURN m.name, a.name ORDER BY m.name"
         )
-        eager = values(engine.run(query))
+        expected = naive_run([graph], query)
         for page_size in (1, 2, 3, 7, 100):
             rows = []
             continuation = None
@@ -180,7 +247,7 @@ class TestSliceParity:
                     break
                 # the wire format is JSON: round-trip every hop
                 continuation = json.loads(json.dumps(continuation))
-            assert rows == eager, f"page_size={page_size}"
+            assert rows == expected, f"page_size={page_size}"
 
     def test_continuation_is_json_safe(self, engine):
         task = engine.task(
@@ -202,6 +269,36 @@ class TestSliceParity:
         other = engine.task("MATCH (a:ThreatActor) RETURN a.name")
         with pytest.raises(CypherRuntimeError, match="does not match"):
             other.load(continuation)
+
+
+class TestOrderByAggregate:
+    @pytest.mark.parametrize(
+        "query,alias,ascending",
+        ORDER_BY_AGGREGATE,
+        ids=["count", "count(*)", "max"],
+    )
+    def test_sorts_on_the_projected_aggregate(
+        self, deployment, query, alias, ascending
+    ):
+        column = [row[alias] for row in deployment.run(query)]
+        assert column == sorted(column, reverse=not ascending)
+        assert len(set(column)) > 1  # the ordering is not vacuous
+
+    def test_numbers_sort_numerically(self):
+        graph = PropertyGraph()
+        for name, uses in (("small", 9), ("large", 12)):
+            actor = graph.create_node("ThreatActor", {"name": name})
+            for i in range(uses):
+                tech = graph.create_node("Technique", {"name": f"{name}-{i}"})
+                graph.create_edge(actor.node_id, "USES", tech.node_id)
+        rows = CypherEngine(graph).run(
+            "MATCH (a:ThreatActor)-[:USES]->(t) "
+            "RETURN a.name, count(t) AS c ORDER BY c DESC"
+        )
+        assert values(rows) == [
+            {"a.name": "large", "c": 12},
+            {"a.name": "small", "c": 9},
+        ]
 
 
 class TestPlanner:
@@ -301,7 +398,7 @@ class TestPlanner:
         query = "MATCH (m:Malware) RETURN count(m) > 5 AS big"
         with pytest.raises(CypherRuntimeError, match="aggregate"):
             engine.task(query, strict=False)
-        # same error surface as the eager evaluator
+        # and the same error through run()
         with pytest.raises(CypherRuntimeError, match="aggregate"):
             engine.run(query, strict=False)
 
